@@ -2,8 +2,10 @@ package repro
 
 import (
 	"encoding/json"
+	"flag"
 	"math"
 	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/cache"
@@ -336,9 +338,15 @@ type benchDoc struct {
 	SimMIPSGeomean float64                       `json:"sim_mips_geomean"`
 }
 
-// TestEmitBenchJSON regenerates BENCH_jpp.json at the repo root: every
-// scheme over a benchmark set, with each run's validated stats snapshot
-// and the speedup-over-baseline summary.  Short mode covers the whole
+// update makes TestEmitBenchJSON rewrite the tracked BENCH_jpp.json;
+// without it the document goes to a temporary directory, so a plain
+// `go test ./...` never re-baselines the committed throughput figures.
+var update = flag.Bool("update", false, "rewrite the tracked BENCH_jpp.json")
+
+// TestEmitBenchJSON regenerates BENCH_jpp.json (at the repo root under
+// -update, in a temporary directory otherwise): every scheme over a
+// benchmark set, with each run's validated stats snapshot and the
+// speedup-over-baseline summary.  Short mode covers the whole
 // suite at the test size (the CI smoke run); the default run uses the
 // small inputs on the flagship benchmarks, where the paper's effects
 // are visible, and additionally sweeps the large inputs under the
@@ -447,13 +455,17 @@ func TestEmitBenchJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile("BENCH_jpp.json", append(data, '\n'), 0o644); err != nil {
+	path := filepath.Join(t.TempDir(), "BENCH_jpp.json")
+	if *update {
+		path = "BENCH_jpp.json"
+	}
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
 	// Round-trip: the emitted file must be consumable through the same
 	// entry point jppreport uses, with every snapshot still valid.
-	raw, err := os.ReadFile("BENCH_jpp.json")
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,5 +481,5 @@ func TestEmitBenchJSON(t *testing.T) {
 			t.Fatalf("snapshot %d: %v", i, err)
 		}
 	}
-	t.Logf("wrote BENCH_jpp.json: %d snapshots (%s size), %d benches", len(snaps), doc.Size, len(benches))
+	t.Logf("wrote %s: %d snapshots (%s size), %d benches", path, len(snaps), doc.Size, len(benches))
 }

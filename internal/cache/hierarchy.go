@@ -117,7 +117,15 @@ type Stats struct {
 	// in-flight prefetched lines (0 for fully timely prefetches).
 	PBHitWaitSum uint64
 	// DemandWaitSum accumulates the full wait (done - issue) of every
-	// demand access, the raw material of the memory-stall story.
+	// demand access, the raw material of the memory-stall story.  It
+	// includes store waits the core never stalls for: a store retires
+	// one cycle after issue, yet its miss still books an MSHR and the
+	// buses, and mshrAlloc hands out the earliest-free slot however far
+	// ahead it is booked.  A burst of store misses (a structure being
+	// built) therefore queues, each store waiting for every one before
+	// it, and the sum grows with the square of the burst length
+	// (TestStoreMissBurstQueues).  Read it as memory-system backlog,
+	// not as cycles the core lost.
 	DemandWaitSum uint64
 
 	DistinctL1Lines int

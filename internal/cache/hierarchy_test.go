@@ -94,6 +94,80 @@ func TestMSHRLimitThrottles(t *testing.T) {
 	}
 }
 
+// TestStoreMissBurstQueues shows where DemandWaitSum's store waits
+// come from.  The core retires a store one cycle after issue and never
+// stalls on it, so a burst of store misses reaches the hierarchy at one
+// per cycle.  Each miss still books an MSHR and the memory bus: past
+// the MSHR count a miss may start only when an earlier one's critical
+// word arrives (mshrAlloc hands out the earliest-free slot however far
+// ahead it is booked), and every miss serialises behind the previous
+// line transfer on the memory bus.  The k-th store's wait therefore
+// grows linearly in k, the burst's wait sum quadratically, and all of
+// it lands in DemandWaitSum.  A load that misses after the burst waits
+// behind the whole backlog.
+func TestStoreMissBurstQueues(t *testing.T) {
+	p := Defaults()
+	// Cycles one L2 line holds the memory bus: the per-miss service
+	// time once the burst saturates it.
+	busLine := uint64(p.L2.LineBytes/p.ChunkBytes) * uint64(p.MemChunkCycles)
+	const page = 0x40000
+
+	// fresh returns a hierarchy with page's translation warm and the
+	// memory system idle at the returned cycle.
+	fresh := func() (*Hierarchy, uint64) {
+		h := New(p)
+		r := h.AccessData(0, page, KLoad)
+		return h, r.Done + 1000
+	}
+
+	// One store miss alone: the unloaded miss latency.
+	h, now := fresh()
+	unloaded := h.AccessData(now, page+uint32(p.L2.LineBytes), KStore).Done - now
+
+	// A burst of store misses, one per cycle, each to its own L2 line.
+	h, now = fresh()
+	before := h.Stats().DemandWaitSum
+	n := 4 * p.MSHRs
+	var sum, mshrQueued uint64
+	for k := 0; k < n; k++ {
+		issue := now + uint64(k)
+		addr := page + uint32((k+1)*p.L2.LineBytes)
+		start, _ := h.mshrAlloc(issue) // read-only: when this miss may start
+		r := h.AccessData(issue, addr, KStore)
+		if !r.MissL1 || !r.MissL2 {
+			t.Fatalf("store %d: want an L1 and L2 miss, got %+v", k, r)
+		}
+		wait := r.Done - issue
+		// Each miss after the first waits one memory-bus line time more
+		// than the one before, less the cycle between their issues.
+		if want := unloaded + uint64(k)*(busLine-1); wait != want {
+			t.Fatalf("store %d waited %d cycles, want %d (unloaded %d + %d x %d)",
+				k, wait, want, unloaded, k, busLine-1)
+		}
+		if k < p.MSHRs && start != issue {
+			t.Fatalf("store %d: a free MSHR must start the miss at issue %d, got %d", k, issue, start)
+		}
+		if k >= p.MSHRs && start <= issue {
+			t.Fatalf("store %d: with every MSHR booked the miss must queue, start %d issue %d", k, start, issue)
+		}
+		sum += wait
+		mshrQueued += start - issue
+	}
+	if got := h.Stats().DemandWaitSum - before; got != sum {
+		t.Fatalf("DemandWaitSum grew by %d, want the burst's wait sum %d", got, sum)
+	}
+	t.Logf("%d store misses: wait sum %d cycles, %d of it beyond the unloaded %d each; %d queued behind booked MSHRs",
+		n, sum, sum-uint64(n)*unloaded, unloaded, mshrQueued)
+
+	// The backlog is real for loads: a load miss issued right after the
+	// burst waits behind every booked transfer.
+	issue := now + uint64(n)
+	r := h.AccessData(issue, page+uint32((n+1)*p.L2.LineBytes), KLoad)
+	if want := unloaded + uint64(n)*(busLine-1); r.Done-issue != want {
+		t.Fatalf("load after the burst waited %d cycles, want %d", r.Done-issue, want)
+	}
+}
+
 func TestPrefetchBufferFlow(t *testing.T) {
 	p := Defaults()
 	p.EnablePB = true
