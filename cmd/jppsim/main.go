@@ -165,6 +165,12 @@ func run(args []string, out io.Writer) (err error) {
 		return nil
 	}
 
+	if *interval < 0 {
+		return fmt.Errorf("-interval %d: must be non-negative (0 = default)", *interval)
+	}
+	if *memlat < 0 {
+		return fmt.Errorf("-memlat %d: must be non-negative (0 = default)", *memlat)
+	}
 	cfg := repro.Config{
 		Bench:      *bench,
 		Engine:     *engine,

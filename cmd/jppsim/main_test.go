@@ -143,16 +143,31 @@ func TestRunTextModeIncludesBreakdown(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadFlags: each bad value is an error naming the value
+// or its flag; a negative -interval or -memlat is not read as the
+// default.
 func TestRunRejectsBadFlags(t *testing.T) {
-	var out strings.Builder
-	for _, args := range [][]string{
-		{"-scheme", "warp"},
-		{"-idiom", "ribs"},
-		{"-size", "enormous"},
-		{"-bench", "nosuch", "-size", "test"},
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-scheme", "warp"}, "warp"},
+		{[]string{"-idiom", "ribs"}, "ribs"},
+		{[]string{"-size", "enormous"}, "enormous"},
+		{[]string{"-bench", "nosuch", "-size", "test"}, "nosuch"},
+		{[]string{"-size", "test", "-interval", "-1"}, "-interval"},
+		{[]string{"-size", "test", "-memlat", "-5"}, "-memlat"},
+		{[]string{"-size", "test", "-scheme", "coop", "-interval", "-8", "-stats-json"}, "-interval"},
+		{[]string{"-size", "test", "-memlat", "-70", "-split"}, "-memlat"},
 	} {
-		if err := run(args, &out); err == nil {
-			t.Errorf("args %v accepted", args)
+		var out strings.Builder
+		err := run(tc.args, &out)
+		if err == nil {
+			t.Errorf("args %v accepted:\n%s", tc.args, out.String())
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("args %v: error %q does not name %q", tc.args, err, tc.want)
 		}
 	}
 }

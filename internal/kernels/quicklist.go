@@ -1,6 +1,8 @@
 package kernels
 
 import (
+	"slices"
+
 	"repro/internal/core"
 	"repro/internal/ir"
 )
@@ -79,7 +81,7 @@ func quicklistKernel(p Params) func(*ir.Asm) {
 
 		// order mirrors the list so churn knows each node's position;
 		// every link and skip mutation is still emitted.
-		var order []ir.Val
+		var order qlSeq
 
 		// fixSkips re-points the skip fields of the dist nodes ending
 		// at position pos (a real QuickList carries this lag window in
@@ -89,10 +91,10 @@ func quicklistKernel(p Params) func(*ir.Asm) {
 		fixSkips := func(pos int) {
 			for j := pos; j >= pos-dist && j >= 0; j-- {
 				tgt := ir.Imm(0)
-				if j+dist < len(order) {
-					tgt = order[j+dist]
+				if j+dist < order.len() {
+					tgt = order.at(j + dist)
 				}
-				a.Store(qlFix, order[j], qlSkip, tgt)
+				a.Store(qlFix, order.at(j), qlSkip, tgt)
 			}
 		}
 
@@ -102,11 +104,11 @@ func quicklistKernel(p Params) func(*ir.Asm) {
 			n := a.Malloc(12)
 			a.Store(qlBuild, n, qlVal, ir.Imm(r.next()&0xFFFF))
 			if i > 0 {
-				a.Store(qlBuild+1, order[i-1], qlNext, n)
+				a.Store(qlBuild+1, order.at(i-1), qlNext, n)
 			}
-			order = append(order, n)
+			order.insert(i, n)
 			if i >= dist {
-				a.Store(qlBuild+2, order[i-dist], qlSkip, n)
+				a.Store(qlBuild+2, order.at(i-dist), qlSkip, n)
 			}
 		}
 
@@ -114,7 +116,7 @@ func quicklistKernel(p Params) func(*ir.Asm) {
 		// visit prefetches through the structural skip field (no
 		// creation code, no jump queue).
 		walk := func() {
-			cur := order[0]
+			cur := order.at(0)
 			sum := ir.Imm(0)
 			for !cur.IsNil() {
 				if prefetchOn(p) && idiom != core.IdiomNone {
@@ -133,33 +135,109 @@ func quicklistKernel(p Params) func(*ir.Asm) {
 		insertAt := func(pos int) {
 			n := a.Malloc(12)
 			a.Store(qlChurn, n, qlVal, ir.Imm(r.next()&0xFFFF))
-			prev := order[pos]
+			prev := order.at(pos)
 			nxt := a.Load(qlChurn+1, prev, qlNext, ir.FLDS)
 			a.Store(qlChurn+2, n, qlNext, nxt)
 			a.Store(qlChurn+3, prev, qlNext, n)
-			order = append(order, ir.Val{})
-			copy(order[pos+2:], order[pos+1:])
-			order[pos+1] = n
+			order.insert(pos+1, n)
 			fixSkips(pos + 1)
 		}
 
 		removeAt := func(pos int) {
-			victim := order[pos]
-			prev := order[pos-1]
+			victim := order.at(pos)
+			prev := order.at(pos - 1)
 			nxt := a.Load(qlChurn+4, victim, qlNext, ir.FLDS)
 			a.Store(qlChurn+5, prev, qlNext, nxt)
 			a.FreeNode(victim)
-			copy(order[pos:], order[pos+1:])
-			order = order[:len(order)-1]
+			order.remove(pos)
 			fixSkips(pos - 1)
 		}
 
 		for round := 0; round < cfg.rounds; round++ {
 			walk()
 			for c := 0; c < cfg.churn; c++ {
-				insertAt(r.intn(len(order) - 1))
-				removeAt(r.intn(len(order)-2) + 1)
+				insertAt(r.intn(order.len() - 1))
+				removeAt(r.intn(order.len()-2) + 1)
 			}
 		}
 	}
+}
+
+// qlSeqBlock is qlSeq's target block length: a block splits in two
+// when it reaches twice this many elements.
+const qlSeqBlock = 512
+
+// qlSeq is a positional sequence of values held as a list of blocks of
+// about qlSeqBlock elements, so at, insert and remove cost O(n/B + B)
+// rather than the O(n) element shift of a flat slice.  Emptied blocks
+// are dropped.  A cursor remembers the block of the last lookup and
+// where it starts: the kernel's accesses cluster (the skip window, the
+// build tail), so most lookups step over no block at all.
+type qlSeq struct {
+	blocks   [][]ir.Val
+	n        int
+	cur      int // block of the last lookup
+	curStart int // position of blocks[cur][0]
+}
+
+func (s *qlSeq) len() int { return s.n }
+
+// find returns the block holding position i and i's offset in it, for
+// 0 <= i <= len; i == len maps to the end of the last block.  It walks
+// from the cursor and leaves the cursor on the block it returns.
+// insert and remove touch only that block: a split leaves its start in
+// place, and dropping it once emptied moves its successor, which starts
+// at the same position, into its index.  So the cursor stays valid
+// unless it falls off the end.
+func (s *qlSeq) find(i int) (int, int) {
+	b, start := s.cur, s.curStart
+	if b >= len(s.blocks) {
+		b, start = 0, 0
+	}
+	for i < start {
+		b--
+		start -= len(s.blocks[b])
+	}
+	for b < len(s.blocks)-1 && i-start >= len(s.blocks[b]) {
+		start += len(s.blocks[b])
+		b++
+	}
+	s.cur, s.curStart = b, start
+	return b, i - start
+}
+
+func (s *qlSeq) at(i int) ir.Val {
+	b, o := s.find(i)
+	return s.blocks[b][o]
+}
+
+// insert places v at position i (0 <= i <= len), shifting later
+// elements up by one.
+func (s *qlSeq) insert(i int, v ir.Val) {
+	if len(s.blocks) == 0 {
+		s.blocks = append(s.blocks, make([]ir.Val, 0, 2*qlSeqBlock))
+	}
+	b, o := s.find(i)
+	blk := slices.Insert(s.blocks[b], o, v)
+	s.n++
+	if len(blk) < 2*qlSeqBlock {
+		s.blocks[b] = blk
+		return
+	}
+	tail := make([]ir.Val, qlSeqBlock, 2*qlSeqBlock)
+	copy(tail, blk[qlSeqBlock:])
+	s.blocks[b] = blk[:qlSeqBlock]
+	s.blocks = slices.Insert(s.blocks, b+1, tail)
+}
+
+// remove deletes the element at position i (0 <= i < len).
+func (s *qlSeq) remove(i int) {
+	b, o := s.find(i)
+	blk := slices.Delete(s.blocks[b], o, o+1)
+	s.n--
+	if len(blk) == 0 {
+		s.blocks = slices.Delete(s.blocks, b, b+1)
+		return
+	}
+	s.blocks[b] = blk
 }
