@@ -62,6 +62,21 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-size", "test", "-exp", "fig9"}, &out); err == nil {
 		t.Error("unknown experiment accepted")
 	}
+	for _, tc := range []struct {
+		args []string
+		want string // the error must name the bad value or flag
+	}{
+		{[]string{"-size", "test", "-exp", "fig5", "-bench", "health,nosuch"}, `"nosuch"`},
+		{[]string{"-size", "test", "-bench", "nosuch"}, `"nosuch"`},
+		{[]string{"-size", "test", "-exp", "fig5", "-j", "-3"}, "-j"},
+	} {
+		err := run(tc.args, &out)
+		if err == nil {
+			t.Errorf("%v accepted", tc.args)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: error %q does not name %s", tc.args, err, tc.want)
+		}
+	}
 }
 
 // TestRunStatsTable feeds jppsim-format stats JSON (one single-object

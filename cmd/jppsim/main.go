@@ -27,12 +27,6 @@
 // are exact, cycle counts are extrapolated estimates with error bars.
 // -sample-period/-sample-detail/-sample-warmup tune the unit geometry.
 //
-// -noreplay disables the front-end decoded basic-block replay cache,
-// forcing the per-instruction emission and dispatch paths.  Results are
-// bit-identical either way (the replay section of the stats snapshot is
-// simply absent); the flag exists for A/B performance measurements and
-// for ruling replay out when debugging.
-//
 // -cpuprofile/-memprofile write pprof profiles of the simulator itself
 // (not the simulated machine); the two flags compose — with both set,
 // one run yields both profiles.  See EXPERIMENTS.md "Profiling the
@@ -80,7 +74,6 @@ func run(args []string, out io.Writer) (err error) {
 		vbench    = fs.String("vbench", "", "validation: comma-separated benchmark list (default all)")
 		cpuProf   = fs.String("cpuprofile", "", "write a pprof CPU profile of the simulator to this file")
 		memProf   = fs.String("memprofile", "", "write a pprof heap profile of the simulator to this file")
-		noReplay  = fs.Bool("noreplay", false, "disable the front-end block-replay cache (slower, identical results)")
 		sample    = fs.Bool("sample", false, "use sampled simulation (approximate cycles, exact architectural results)")
 		samPeriod = fs.Uint64("sample-period", 0, "sampling: unit length in instructions (0 = default)")
 		samDetail = fs.Uint64("sample-detail", 0, "sampling: measured detailed span per unit (0 = default)")
@@ -183,11 +176,6 @@ func run(args []string, out io.Writer) (err error) {
 			Detail: *samDetail,
 			Warmup: *samWarmup,
 		}
-	}
-	if *noReplay {
-		core := cpu.Defaults()
-		core.DisableBlockReplay = true
-		cfg.Core = &core
 	}
 	if cfg.Scheme, err = parseScheme(*scheme); err != nil {
 		return err

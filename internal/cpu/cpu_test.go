@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/bpred"
@@ -302,5 +303,48 @@ func TestTracerEventOrdering(t *testing.T) {
 		if e.issue < e.disp || e.done < e.issue {
 			t.Fatalf("event %d out of order: %+v", i, e)
 		}
+	}
+}
+
+// TestFetchLineAccessCount pins when fetch touches the instruction
+// cache.  A 3-instruction loop (sites 104-106, one 32-byte fetch line)
+// ends in a back-edge taken at random and not taken on the last
+// iteration.  Fetch accesses the line for the first instruction and
+// again after every taken back-edge, since taken control flow ends the
+// fetch group and the next instruction starts a new one.  A not-taken
+// back-edge stays in the line.  This holds whether or not the branch
+// was predicted, so the count is 1 + taken back-edges exactly, and the
+// one line misses once.
+func TestFetchLineAccessCount(t *testing.T) {
+	const n = 2000
+	r := rand.New(rand.NewSource(0x11ce))
+	taken := make([]bool, n)
+	var nTaken uint64
+	for i := 0; i < n-1; i++ {
+		if taken[i] = r.Intn(2) == 0; taken[i] {
+			nTaken++
+		}
+	}
+	alloc := heap.New(mem.NewImage())
+	hier := cache.New(cache.Defaults())
+	pred := bpred.New(bpred.Defaults())
+	gen := ir.NewGen(alloc, func(a *ir.Asm) {
+		for i := 0; i < n; i++ {
+			v := a.Alu(104, uint32(i), ir.Val{}, ir.Val{})
+			a.Alu(105, v.U32()+1, v, ir.Val{})
+			a.Branch(106, taken[i], 104, v, ir.Val{})
+		}
+	})
+	s := New(Defaults(), hier, pred, nil).Run(gen)
+	if s.Insts != 3*n {
+		t.Fatalf("committed %d instructions, want %d", s.Insts, 3*n)
+	}
+	hs := hier.Stats()
+	if want := 1 + nTaken; hs.L1IAccesses != want {
+		t.Errorf("L1I accesses = %d, want 1 + %d taken back-edges = %d",
+			hs.L1IAccesses, nTaken, want)
+	}
+	if hs.L1IMisses != 1 {
+		t.Errorf("L1I misses = %d, want 1", hs.L1IMisses)
 	}
 }

@@ -250,29 +250,31 @@ func (c *Core) runDetailed(gen *ir.Gen, target uint64, fetch bool) bool {
 // commit-order bookkeeping (counters, Tracer, engine training),
 // microarchitectural warming (caches, TLBs, branch predictor), and the
 // provisional clock advance extrapolated from the CPI measured so far,
-// so engine/bus reservations age realistically.  It returns the clock
-// advance applied and whether the stream ended.
+// so engine/bus reservations age realistically.  It takes instructions
+// from the front end's span cursor, starting with any staged one, and
+// refills it with NextBatch (never Next: NextBatch has already marked
+// the whole batch delivered).  It returns the clock advance applied and
+// whether the stream ended.
 func (c *Core) fastForward(gen *ir.Gen, n uint64, sam *SampleStats) (uint64, bool) {
 	var ffed, lastSeq uint64
-	warmLine := uint32(0)
 	done := false
 	for ffed < n {
-		d := c.fetched
-		if d != nil {
-			c.fetched = nil
-		} else {
-			if d = gen.Next(); d == nil {
+		if c.spanPos == len(c.span) {
+			ins, meta := gen.NextBatch()
+			if ins == nil {
 				done = true
 				break
 			}
+			c.span, c.spanMeta, c.spanPos = ins, meta, 0
 		}
+		d := &c.span[c.spanPos]
+		m := c.spanMeta[c.spanPos]
+		c.spanPos++
 		lastSeq = d.Seq
 
-		// Instruction-side warming, one probe per fetch line (the same
-		// 32B line granularity fetchDispatch uses).
-		if line := d.PC>>5<<5 | 1; line != warmLine {
+		// Instruction-side warming, one probe per fetch line.
+		if m&ir.MetaNewLine != 0 {
 			c.hier.WarmInst(d.PC)
-			warmLine = line
 		}
 		switch d.Class {
 		case ir.Load:
@@ -301,11 +303,10 @@ func (c *Core) fastForward(gen *ir.Gen, n uint64, sam *SampleStats) (uint64, boo
 		c.s.CommitByCl[d.Class]++
 		c.s.Insts++
 		ffed++
-		if d.Class == ir.Jump || (d.Class == ir.Branch && d.Taken) {
-			warmLine = 0
-		}
 	}
 	sam.FFInsts += ffed
+	// A staged instruction, if any, was consumed above.
+	c.spanLineDone, c.spanStaged = false, false
 
 	if ffed > 0 {
 		// Resynchronize the dispatch bookkeeping past the skipped
@@ -323,7 +324,6 @@ func (c *Core) fastForward(gen *ir.Gen, n uint64, sam *SampleStats) (uint64, boo
 	// skipped span, then unfreeze fetch at the new time.
 	adv := ffed * sam.MeasuredCycles / sam.MeasuredInsts
 	c.now += adv
-	c.curLine = 0
 	c.blockSeq = 0
 	if c.fetchReadyAt < c.now {
 		c.fetchReadyAt = c.now

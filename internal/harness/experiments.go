@@ -15,7 +15,6 @@ import (
 	"repro/internal/dbp"
 	"repro/internal/olden"
 	"repro/internal/prefetch"
-	"repro/internal/stats"
 )
 
 // ExpConfig parameterizes experiment reproduction.
@@ -24,10 +23,11 @@ type ExpConfig struct {
 	Size olden.Size
 	// Benches restricts the benchmark set (nil = all).
 	Benches []string
-	// Workers bounds how many simulations run concurrently (<= 0 =
-	// GOMAXPROCS, 1 = serial).  Reports are byte-identical for every
-	// worker count: the drivers declare their spec sets up front and
-	// assemble output from ordered batch results.
+	// Workers bounds how many simulations run concurrently (0 =
+	// GOMAXPROCS, 1 = serial; negative counts are invalid).  Reports
+	// are byte-identical for every worker count: the drivers declare
+	// their spec sets up front and assemble output from ordered batch
+	// results.
 	Workers int
 	// BenchJSON locates the committed benchmark document consumed by
 	// the mips experiment (default "BENCH_jpp.json" in the working
@@ -641,8 +641,6 @@ func Mips(cfg ExpConfig) (Report, error) {
 		return Report{}, fmt.Errorf("mips: %w", err)
 	}
 	var doc struct {
-		Size           string                        `json:"size"`
-		Snapshots      []stats.Snapshot              `json:"snapshots"`
 		SimMIPS        map[string]map[string]float64 `json:"sim_mips"`
 		SimMIPSGeomean float64                       `json:"sim_mips_geomean"`
 	}
@@ -653,29 +651,12 @@ func Mips(cfg ExpConfig) (Report, error) {
 		return Report{}, fmt.Errorf("mips: %s has no sim_mips section", path)
 	}
 
-	// Per-kernel replay hit rate, averaged over the runs that carried a
-	// replay section, keyed like the sim_mips maps (bench, or bench@size
-	// for the off-primary-size sweeps).
-	hitSum := make(map[string]float64)
-	hitN := make(map[string]int)
-	for _, s := range doc.Snapshots {
-		if s.Replay == nil {
-			continue
-		}
-		key := s.Bench
-		if s.Size != doc.Size {
-			key += "@" + s.Size
-		}
-		hitSum[key] += s.Replay.HitRate
-		hitN[key]++
-	}
-
 	schemes := core.Schemes()
 	header := []string{"kernel"}
 	for _, s := range schemes {
 		header = append(header, s.String())
 	}
-	header = append(header, "geomean", "vs-seed", "replay-hit")
+	header = append(header, "geomean", "vs-seed")
 
 	var keys []string
 	for k := range doc.SimMIPS {
@@ -708,11 +689,6 @@ func Mips(cfg ExpConfig) (Report, error) {
 		// keyed by bare kernel name, so those rows get no multiple.
 		if seed, ok := seedSimMIPS[k]; ok {
 			row = append(row, fmt.Sprintf("%.2fx", kGeo/seed))
-		} else {
-			row = append(row, "-")
-		}
-		if n := hitN[k]; n > 0 {
-			row = append(row, fmt.Sprintf("%.2f", hitSum[k]/float64(n)))
 		} else {
 			row = append(row, "-")
 		}

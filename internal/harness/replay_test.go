@@ -1,23 +1,25 @@
 package harness
 
 import (
-	"encoding/json"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/cpu"
+	"repro/internal/heap"
+	"repro/internal/ir"
+	"repro/internal/mem"
 	"repro/internal/olden"
 )
 
-// TestBlockReplayEquivalence pins the block-replay contract end to end:
-// for every kernel under every scheme, with cycle skipping both on and
-// off, the full statistics snapshot is byte-identical whether the front
-// end runs the decoded basic-block replay cache (block-granular
-// dispatch in the core, template-verified emission in ir) or the
-// per-instruction classic paths.  Replay is a pure simulator
-// optimisation and must never be observable in results; the replay
-// observability section is the one intentional difference, so it is
-// normalized away before comparing.
+// TestBlockReplayEquivalence pins the front end's block-granular
+// dispatch end to end: for every kernel under every scheme, with cycle
+// skipping both on and off, the timed core — which replays the
+// generator's batches as spans (NextBatch plus dispatch metadata) —
+// commits exactly the instruction stream an untimed per-instruction
+// drain (Gen.Next) of the same kernel emits.  Commit counts per class,
+// the generator's accounting and the final heap payload must all match:
+// a span left half-dispatched, or an instruction dispatched twice, shows
+// up here even when the cycle count happens to look plausible.
 func TestBlockReplayEquivalence(t *testing.T) {
 	t.Parallel()
 	for _, b := range AllBenches() {
@@ -30,31 +32,39 @@ func TestBlockReplayEquivalence(t *testing.T) {
 				}
 				t.Run(name, func(t *testing.T) {
 					t.Parallel()
-					run := func(disableReplay bool) []byte {
-						cfg := cpu.Defaults()
-						cfg.DisableCycleSkip = noskip
-						cfg.DisableBlockReplay = disableReplay
-						res, err := Run(Spec{
-							Bench:  b.Name,
-							Params: olden.Params{Scheme: scheme, Size: olden.SizeTest},
-							CPU:    &cfg,
-						})
-						if err != nil {
-							t.Fatal(err)
-						}
-						// The replay section exists exactly when replay ran;
-						// every architectural field must match without it.
-						res.Stats.Replay = nil
-						buf, err := json.Marshal(res.Stats)
-						if err != nil {
-							t.Fatal(err)
-						}
-						return buf
+					params := olden.Params{Scheme: scheme, Size: olden.SizeTest}
+					cfg := cpu.Defaults()
+					cfg.DisableCycleSkip = noskip
+					res, err := Run(Spec{Bench: b.Name, Params: params, CPU: &cfg})
+					if err != nil {
+						t.Fatal(err)
 					}
-					replayed, classic := run(false), run(true)
-					if string(replayed) != string(classic) {
-						t.Errorf("snapshot diverges with block replay enabled\nreplay:  %s\nclassic: %s",
-							replayed, classic)
+					if res.CPU.Truncated {
+						t.Fatal("timed run truncated")
+					}
+
+					alloc := heap.New(mem.NewImage())
+					gen := ir.NewGen(alloc, b.Kernel(params))
+					var byClass [ir.NumClasses]uint64
+					var total uint64
+					for d := gen.Next(); d != nil; d = gen.Next() {
+						byClass[d.Class]++
+						total++
+					}
+
+					if res.CPU.Insts != total {
+						t.Errorf("committed %d instructions, per-instruction drain emitted %d",
+							res.CPU.Insts, total)
+					}
+					if res.CPU.CommitByCl != byClass {
+						t.Errorf("commits per class %v, per-instruction drain %v",
+							res.CPU.CommitByCl, byClass)
+					}
+					if got := gen.Stats(); res.Insts != got {
+						t.Errorf("emission stats differ\n  timed: %+v\n  drain: %+v", res.Insts, got)
+					}
+					if got, want := res.Heap.PayloadChecksum(), alloc.PayloadChecksum(); got != want {
+						t.Errorf("heap payload checksum %#x, per-instruction drain %#x", got, want)
 					}
 				})
 			}

@@ -159,13 +159,7 @@ func Run(spec Spec) (Result, error) {
 		cpuC.Sampling = &sc
 	}
 
-	// Block replay is disabled together with the core's block-granular
-	// dispatch: one knob governs both ends of the batch channel, so a
-	// replay-off run exercises the per-instruction emission and fetch
-	// paths end to end.
-	gen := ir.NewGenWith(alloc, kernel, ir.GenOptions{
-		DisableReplay: cpuC.DisableBlockReplay,
-	})
+	gen := ir.NewGen(alloc, kernel)
 	c := cpu.New(cpuC, hier, pred, eng)
 	cpuStats := c.Run(gen)
 
@@ -214,21 +208,6 @@ func buildSnapshot(r *Result) stats.Snapshot {
 		issued, dropped := rq.CacheRequests()
 		rep.EngineIssued = issued + dropped
 	}
-	// The replay section is present exactly when block replay ran
-	// (the default; Spec.CPU can opt out).  Zero counters with the
-	// section present are meaningful: a workload the cache could not
-	// capture at all.
-	var repRep *stats.ReplayReport
-	if r.Spec.CPU == nil || !r.Spec.CPU.DisableBlockReplay {
-		repRep = &stats.ReplayReport{
-			BlocksCaptured: r.Insts.BlocksCaptured,
-			ReplayedInsts:  r.Insts.ReplayedInsts,
-			ReplayAborts:   r.Insts.ReplayAborts,
-		}
-		if total := r.Insts.Total(); total > 0 {
-			repRep.HitRate = float64(r.Insts.ReplayedInsts) / float64(total)
-		}
-	}
 	var samRep *stats.SamplingReport
 	if sam := r.CPU.Sample; sam != nil {
 		samRep = &stats.SamplingReport{
@@ -268,7 +247,6 @@ func buildSnapshot(r *Result) stats.Snapshot {
 			L1L2Bytes:   r.Cache.L1L2Bytes,
 			MemBytes:    r.Cache.MemBytes,
 		},
-		Replay: repRep,
 	}
 }
 

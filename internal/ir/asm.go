@@ -48,7 +48,7 @@ func SitePC(site int) uint32 { return CodeBase + uint32(site)*4 }
 //
 // Emission writes each decoded instruction directly into its final slot
 // of the outgoing batch (the decoded-trace buffer the timing core
-// replays from): one struct store per instruction, no scratch copy and
+// fetches from): one struct store per instruction, no scratch copy and
 // no per-instruction closure call.  The batch is handed to the consumer
 // only at the exact instant it fills — immediately after the
 // BatchSize'th instruction's accounting, before any further functional
@@ -61,16 +61,15 @@ type Asm struct {
 
 	// batch is the in-progress decoded batch (cap BatchSize); send
 	// blocks until the consumer has drained a full batch and handed the
-	// buffer back.  meta carries one pre-decoded dispatch byte per
-	// batch slot when block replay is enabled (nil otherwise) and is
-	// handed over with the batch.
+	// buffer back.  meta carries one dispatch byte per batch slot (see
+	// InstMeta) and is handed over with the batch.
 	batch []DynInst
 	meta  []InstMeta
 	send  func([]DynInst, []InstMeta)
-
-	// rp is the basic-block capture/replay state machine (see
-	// replay.go); active only when meta is non-nil.
-	rp replayState
+	// line mirrors the core's fetch-line state over the emitted stream:
+	// 0 after taken control flow, else line(PC)|1 of the previous
+	// instruction.
+	line uint32
 
 	seq      uint64
 	sp       uint32
@@ -83,22 +82,16 @@ type Asm struct {
 	otherLoads uint64
 }
 
-// newAsm is called by NewGen.  When replay is true the Asm captures and
-// replays decoded basic blocks and emits per-instruction dispatch
-// metadata alongside each batch.
-func newAsm(alloc *heap.Allocator, send func([]DynInst, []InstMeta), replay bool) *Asm {
-	a := &Asm{
+// newAsm is called by NewGen.
+func newAsm(alloc *heap.Allocator, send func([]DynInst, []InstMeta)) *Asm {
+	return &Asm{
 		img:   alloc.Image(),
 		heap:  alloc,
 		batch: make([]DynInst, 0, BatchSize),
+		meta:  make([]InstMeta, 0, BatchSize),
 		send:  send,
 		sp:    StackBase,
 	}
-	if replay {
-		a.meta = make([]InstMeta, 0, BatchSize)
-		a.rp.atStart = true
-	}
-	return a
 }
 
 // slot extends the batch by one instruction and returns the slot to
@@ -118,14 +111,12 @@ func (a *Asm) flushTail() {
 	}
 }
 
-// sendBatch hands the filled batch (and its metadata, when replay is
-// enabled) to the consumer and resets the buffers.
+// sendBatch hands the filled batch and its metadata to the consumer
+// and resets the buffers.
 func (a *Asm) sendBatch() {
 	a.send(a.batch, a.meta)
 	a.batch = a.batch[:0]
-	if a.meta != nil {
-		a.meta = a.meta[:0]
-	}
+	a.meta = a.meta[:0]
 }
 
 // Heap returns the simulated allocator, for workloads that need direct
@@ -141,18 +132,59 @@ func (a *Asm) next(site int) (uint64, uint32) {
 }
 
 // finish completes the instruction decoded into d (the most recent
-// slot): classification accounting, overhead tagging, and the batch
-// handoff when d was the batch's last slot.  With block replay enabled
-// it routes through the capture/replay state machine instead.
+// slot): classification accounting, overhead tagging, its dispatch
+// metadata, and the batch handoff when d was the batch's last slot.
 func (a *Asm) finish(d *DynInst) {
-	if a.meta != nil {
-		a.finishTracked(d)
-		return
-	}
 	a.account(d)
+	a.meta = append(a.meta, a.liveMeta(d))
 	if len(a.batch) == BatchSize {
 		a.sendBatch()
 	}
+}
+
+// InstMeta is one byte of pre-decoded dispatch metadata accompanying
+// each DynInst: the memory/store/control classification and the exact
+// fetch-line-crossing bit, which is what lets internal/cpu dispatch
+// whole batches without per-instruction decode.
+type InstMeta uint8
+
+const (
+	// MetaMem marks Load/Store/Prefetch instructions (LSQ occupants).
+	MetaMem InstMeta = 1 << iota
+	// MetaStore marks Store instructions (store-queue occupants).
+	MetaStore
+	// MetaCtrl marks Branch/Jump instructions (fetch redirect points).
+	MetaCtrl
+	// MetaNewLine marks an instruction whose PC starts a fetch line the
+	// front end has not yet requested: the line differs from the
+	// previous instruction's, or the previous instruction was taken
+	// control flow.  It is exact, not a hint, so the core keeps no
+	// fetch-line state of its own.
+	MetaNewLine
+)
+
+// liveMeta computes the dispatch metadata for d against the current
+// fetch-line state and advances that state.
+func (a *Asm) liveMeta(d *DynInst) InstMeta {
+	var m InstMeta
+	switch d.Class {
+	case Load, Prefetch:
+		m = MetaMem
+	case Store:
+		m = MetaMem | MetaStore
+	case Branch, Jump:
+		m = MetaCtrl
+	}
+	line := d.PC>>5<<5 | 1
+	if line != a.line {
+		m |= MetaNewLine
+	}
+	if d.Class == Jump || (d.Class == Branch && d.Taken) {
+		a.line = 0
+	} else {
+		a.line = line
+	}
+	return m
 }
 
 // account applies per-instruction classification accounting and
@@ -386,31 +418,18 @@ type Stats struct {
 	OvhdInsts  uint64
 	LDSLoads   uint64
 	OtherLoads uint64
-
-	// Replay-cache counters (all zero when block replay is disabled).
-	// BlocksCaptured counts decoded blocks inserted into the table,
-	// ReplayedInsts counts instructions emitted through the replay fast
-	// path as part of a completed block, and ReplayAborts counts
-	// template mismatches (data-dependent emission paths).
-	BlocksCaptured uint64
-	ReplayedInsts  uint64
-	ReplayAborts   uint64
 }
 
 // Total returns the total dynamic instruction count.
 func (s Stats) Total() uint64 { return s.OrigInsts + s.OvhdInsts }
 
 func (a *Asm) stats() Stats {
-	a.finishReplayTail()
 	return Stats{
-		Counts:         a.counts,
-		OrigInsts:      a.origInsts,
-		OvhdInsts:      a.ovhdInsts,
-		LDSLoads:       a.ldsLoads,
-		OtherLoads:     a.otherLoads,
-		BlocksCaptured: a.rp.blocksCaptured,
-		ReplayedInsts:  a.rp.replayedInsts,
-		ReplayAborts:   a.rp.replayAborts,
+		Counts:     a.counts,
+		OrigInsts:  a.origInsts,
+		OvhdInsts:  a.ovhdInsts,
+		LDSLoads:   a.ldsLoads,
+		OtherLoads: a.otherLoads,
 	}
 }
 

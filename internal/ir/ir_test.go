@@ -342,3 +342,210 @@ func TestFreeNodeEmitsAndRecycles(t *testing.T) {
 		}
 	})
 }
+
+// drainBatches runs a kernel through NextBatch and collects its
+// instructions, their dispatch metadata, and the emission stats.
+func drainBatches(t *testing.T, kernel func(*Asm)) ([]DynInst, []InstMeta, Stats) {
+	t.Helper()
+	alloc := heap.New(mem.NewImage())
+	g := NewGen(alloc, kernel)
+	var ins []DynInst
+	var meta []InstMeta
+	for {
+		b, m := g.NextBatch()
+		if b == nil {
+			break
+		}
+		ins = append(ins, b...)
+		meta = append(meta, m...)
+	}
+	return ins, meta, g.Stats()
+}
+
+// refMeta independently recomputes the dispatch metadata a stream must
+// carry: a pure function of the instruction sequence, with the fetch
+// line reset by taken control flow.
+func refMeta(ins []DynInst) []InstMeta {
+	var line uint32
+	out := make([]InstMeta, len(ins))
+	for i := range ins {
+		d := &ins[i]
+		var m InstMeta
+		switch d.Class {
+		case Load, Prefetch:
+			m = MetaMem
+		case Store:
+			m = MetaMem | MetaStore
+		case Branch, Jump:
+			m = MetaCtrl
+		}
+		l := d.PC>>5<<5 | 1
+		if l != line {
+			m |= MetaNewLine
+		}
+		if d.Class == Jump || (d.Class == Branch && d.Taken) {
+			line = 0
+		} else {
+			line = l
+		}
+		out[i] = m
+	}
+	return out
+}
+
+// loopKernel emits a uniform pointer-chase-style loop.
+func loopKernel(n int) func(*Asm) {
+	return func(a *Asm) {
+		p := a.Malloc(64)
+		for i := 0; i < n; i++ {
+			v := a.Load(100, p, 0, FLDS)
+			w := a.Alu(101, v.U32()+1, v, Val{})
+			a.Store(102, p, 0, w)
+			a.Branch(103, i+1 < n, 100, w, Val{})
+		}
+	}
+}
+
+// divergentKernel takes a data-dependent emission path inside the loop
+// body every third iteration, so the same PCs are not always followed
+// by the same instructions.
+func divergentKernel(n int) func(*Asm) {
+	return func(a *Asm) {
+		p := a.Malloc(64)
+		for i := 0; i < n; i++ {
+			a.Load(100, p, 0, 0)
+			if i%3 == 1 {
+				a.Alu(101, uint32(i), Val{}, Val{})
+			}
+			a.Alu(102, 2, Val{}, Val{})
+			a.Branch(103, i+1 < n, 100, Val{}, Val{})
+		}
+	}
+}
+
+// overheadKernel toggles overhead tagging across iterations of the same
+// PC region, so the same PCs are seen with different final flags.
+func overheadKernel(n int) func(*Asm) {
+	return func(a *Asm) {
+		p := a.Malloc(64)
+		for i := 0; i < n; i++ {
+			body := func() {
+				a.Load(100, p, 0, FLDS)
+				a.Prefetch(101, p, 32, 0)
+				a.Branch(102, i+1 < n, 100, Val{}, Val{})
+			}
+			if i%2 == 0 {
+				a.Overhead(body)
+			} else {
+				body()
+			}
+		}
+	}
+}
+
+// straightKernel emits long control-free runs spanning many fetch
+// lines, each closed by a jump back to the start.
+func straightKernel(n int) func(*Asm) {
+	const run = 192
+	return func(a *Asm) {
+		for i := 0; i < n; i++ {
+			for s := 0; s < run; s++ {
+				a.Alu(100+s, uint32(s), Val{}, Val{})
+			}
+			a.Jump(100+run, 100, 0)
+		}
+	}
+}
+
+// frontEndKernels are the emission patterns the span front end's
+// metadata must survive.
+var frontEndKernels = map[string]func(*Asm){
+	"loop":      loopKernel(700),
+	"divergent": divergentKernel(700),
+	"overhead":  overheadKernel(700),
+	"straight":  straightKernel(40),
+	"batchspan": loopKernel(3 * BatchSize), // loop bodies straddling batch boundaries
+}
+
+// TestReplayStreamIdentical checks that the span drain the core's front
+// end replays (NextBatch) delivers exactly the per-instruction stream
+// (Next), with one metadata byte per instruction and identical
+// accounting totals.
+func TestReplayStreamIdentical(t *testing.T) {
+	for name, kern := range frontEndKernels {
+		t.Run(name, func(t *testing.T) {
+			spans, meta, spanStats := drainBatches(t, kern)
+			insts, instStats := drain(t, kern)
+			if len(meta) != len(spans) {
+				t.Fatalf("%d meta bytes for %d instructions", len(meta), len(spans))
+			}
+			if len(spans) != len(insts) {
+				t.Fatalf("stream lengths differ: %d vs %d", len(spans), len(insts))
+			}
+			for i := range spans {
+				if spans[i] != insts[i] {
+					t.Fatalf("inst %d differs:\n  span: %+v\n  next: %+v", i, spans[i], insts[i])
+				}
+			}
+			if spanStats != instStats {
+				t.Fatalf("stats differ:\n  span: %+v\n  next: %+v", spanStats, instStats)
+			}
+		})
+	}
+}
+
+// TestReplayMetaExact checks every metadata byte the span front end
+// replays — across divergent emission paths, overhead toggles, long
+// straight-line runs and batch boundaries — against an independent
+// recomputation from the stream.
+func TestReplayMetaExact(t *testing.T) {
+	for name, kern := range frontEndKernels {
+		t.Run(name, func(t *testing.T) {
+			ins, meta, _ := drainBatches(t, kern)
+			if len(meta) != len(ins) {
+				t.Fatalf("%d meta bytes for %d instructions", len(meta), len(ins))
+			}
+			want := refMeta(ins)
+			for i := range want {
+				if meta[i] != want[i] {
+					t.Fatalf("inst %d (%s pc=%#x): meta %#x, want %#x",
+						i, ins[i].Class, ins[i].PC, meta[i], want[i])
+				}
+			}
+		})
+	}
+}
+
+// TestNextBatchMatchesNext checks the two drain APIs deliver the same
+// stream, including after a partial per-instruction drain.
+func TestNextBatchMatchesNext(t *testing.T) {
+	kern := loopKernel(2*BatchSize + 100)
+	viaNext, _ := drain(t, kern)
+	var mixed []DynInst
+	{
+		alloc := heap.New(mem.NewImage())
+		g := NewGen(alloc, kern)
+		// Start per-instruction, then switch to batch drain mid-batch.
+		for i := 0; i < 10; i++ {
+			mixed = append(mixed, *g.Next())
+		}
+		for {
+			b, m := g.NextBatch()
+			if b == nil {
+				break
+			}
+			if len(m) != len(b) {
+				t.Fatalf("meta length %d for batch length %d", len(m), len(b))
+			}
+			mixed = append(mixed, b...)
+		}
+	}
+	if len(viaNext) != len(mixed) {
+		t.Fatalf("lengths differ: %d vs %d", len(viaNext), len(mixed))
+	}
+	for i := range viaNext {
+		if viaNext[i] != mixed[i] {
+			t.Fatalf("inst %d differs", i)
+		}
+	}
+}

@@ -18,10 +18,9 @@ import (
 // The kernel conformance suite: every kernel registered in this package
 // is pushed through the full correctness matrix the Olden suite
 // already satisfies — all 5 schemes x every prefetch engine x cycle
-// skipping and block replay on/off — asserting snapshot byte-identity
-// for the simulator knobs, stats.Validate invariants on every
-// snapshot, and validate.Digest architectural agreement against the
-// in-order oracle.  Goldens, equivalence and oracle coverage therefore
+// skipping on/off — asserting snapshot byte-identity for the
+// cycle-skip knob, stats.Validate invariants on every snapshot, and
+// validate.Digest architectural agreement against the in-order oracle.  Goldens, equivalence and oracle coverage therefore
 // come for free for every kernel added from now on: registering it is
 // enough to put it under the matrix.
 
@@ -43,9 +42,8 @@ func matrixSize(t *testing.T) olden.Size {
 }
 
 // TestKernelOracleDigest runs each kernel through the differential
-// driver: every scheme, with cycle skipping and block replay toggled,
-// must commit a stream whose architectural digest matches the in-order
-// oracle's, with the heap checksum and non-overhead instruction count
+// driver: every scheme, with cycle skipping toggled, must commit a
+// stream whose architectural digest matches the in-order oracle's, with the heap checksum and non-overhead instruction count
 // invariant across schemes, plus one leg per competitor engine.
 func TestKernelOracleDigest(t *testing.T) {
 	size := matrixSize(t)
@@ -60,9 +58,9 @@ func TestKernelOracleDigest(t *testing.T) {
 	}
 }
 
-// TestKernelSnapshotEquivalence asserts that cycle skipping and block
-// replay are invisible in the full statistics snapshot for every
-// kernel x scheme, and that every snapshot passes stats.Validate.
+// TestKernelSnapshotEquivalence asserts that cycle skipping is
+// invisible in the full statistics snapshot for every kernel x scheme,
+// and that every snapshot passes stats.Validate.
 func TestKernelSnapshotEquivalence(t *testing.T) {
 	size := matrixSize(t)
 	for _, b := range kernels.All() {
@@ -70,18 +68,10 @@ func TestKernelSnapshotEquivalence(t *testing.T) {
 			b, scheme := b, scheme
 			t.Run(b.Name+"/"+scheme.String(), func(t *testing.T) {
 				t.Parallel()
-				base := runSnap(t, b.Name, scheme, "", size, false, false)
-				noskip := runSnap(t, b.Name, scheme, "", size, true, false)
-				noreplay := runSnap(t, b.Name, scheme, "", size, false, true)
+				base := runSnap(t, b.Name, scheme, "", size, false)
+				noskip := runSnap(t, b.Name, scheme, "", size, true)
 				if string(marshal(t, base)) != string(marshal(t, noskip)) {
 					t.Errorf("snapshot diverges with cycle skipping disabled")
-				}
-				// The replay observability section exists exactly when
-				// replay ran; every other field must match without it.
-				base.Replay = nil
-				noreplay.Replay = nil
-				if string(marshal(t, base)) != string(marshal(t, noreplay)) {
-					t.Errorf("snapshot diverges with block replay disabled")
 				}
 			})
 		}
@@ -99,8 +89,8 @@ func TestKernelEngineMatrix(t *testing.T) {
 			b, engine := b, engine
 			t.Run(b.Name+"/"+engine, func(t *testing.T) {
 				t.Parallel()
-				base := runSnap(t, b.Name, core.SchemeNone, engine, size, false, false)
-				noskip := runSnap(t, b.Name, core.SchemeNone, engine, size, true, false)
+				base := runSnap(t, b.Name, core.SchemeNone, engine, size, false)
+				noskip := runSnap(t, b.Name, core.SchemeNone, engine, size, true)
 				if string(marshal(t, base)) != string(marshal(t, noskip)) {
 					t.Errorf("snapshot diverges with cycle skipping disabled")
 				}
@@ -111,11 +101,10 @@ func TestKernelEngineMatrix(t *testing.T) {
 
 // runSnap runs one spec and returns its validated snapshot.
 func runSnap(t *testing.T, bench string, scheme core.Scheme, engine string,
-	size olden.Size, noSkip, noReplay bool) stats.Snapshot {
+	size olden.Size, noSkip bool) stats.Snapshot {
 	t.Helper()
 	cfg := cpu.Defaults()
 	cfg.DisableCycleSkip = noSkip
-	cfg.DisableBlockReplay = noReplay
 	res, err := harness.Run(harness.Spec{
 		Bench:  bench,
 		Params: olden.Params{Scheme: scheme, Size: size},

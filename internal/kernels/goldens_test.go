@@ -29,7 +29,7 @@ func TestKernelGoldens(t *testing.T) {
 			name, size := name, size
 			t.Run(name+"/"+size.String(), func(t *testing.T) {
 				t.Parallel()
-				snap := runSnap(t, name, core.SchemeCooperative, "", size, false, false)
+				snap := runSnap(t, name, core.SchemeCooperative, "", size, false)
 				data, err := json.MarshalIndent(snap, "", "  ")
 				if err != nil {
 					t.Fatal(err)

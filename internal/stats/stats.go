@@ -29,7 +29,10 @@ import (
 // Version history:
 //
 //	1 — initial layout
-//	2 — added the "replay" section (front-end block-replay cache)
+//	2 — added the "replay" section (front-end block-replay cache).
+//	    The section was later removed with the cache.  It was optional
+//	    (omitempty, absent on replay-off runs), so every v2 reader
+//	    already handles its absence and the version stays 2.
 const SchemaVersion = 2
 
 // Category classifies what one simulated cycle was spent on, judged at
@@ -322,23 +325,6 @@ type SamplingReport struct {
 	CyclesHi uint64 `json:"cycles_hi"`
 }
 
-// ReplayReport is the front-end block-replay section of a Snapshot: how
-// well the decoded basic-block replay cache (internal/ir) captured the
-// workload's emission behaviour.  Replay is a pure simulator-performance
-// mechanism — it never changes architectural results — so this section
-// is observability only.  It is absent when replay is disabled.
-type ReplayReport struct {
-	// BlocksCaptured counts decoded basic blocks recorded in the block
-	// table; ReplayedInsts counts instructions emitted through the
-	// verified replay fast path; ReplayAborts counts mid-block template
-	// mismatches (data-dependent emission paths).
-	BlocksCaptured uint64 `json:"blocks_captured"`
-	ReplayedInsts  uint64 `json:"replayed_instructions"`
-	ReplayAborts   uint64 `json:"replay_aborts"`
-	// HitRate is ReplayedInsts over all emitted instructions.
-	HitRate float64 `json:"hit_rate"`
-}
-
 // Snapshot is the versioned, self-describing statistics record one
 // simulation emits (jppsim -stats-json, harness.Result.Stats,
 // BENCH_jpp.json entries).
@@ -375,9 +361,6 @@ type Snapshot struct {
 	CyclesByCategory CycleBreakdown `json:"cycles_by_category"`
 	Prefetch         PrefetchReport `json:"prefetch"`
 	Cache            CacheReport    `json:"cache"`
-	// Replay reports the front-end block-replay cache's behaviour; nil
-	// when replay was disabled for the run.
-	Replay *ReplayReport `json:"replay,omitempty"`
 }
 
 // Validate checks the snapshot's internal invariants: the schema
@@ -436,14 +419,6 @@ func (s Snapshot) Validate() error {
 	} {
 		if m.v < 0 || m.v > 1 {
 			return fmt.Errorf("stats: %s = %g out of [0,1]", m.name, m.v)
-		}
-	}
-	if r := s.Replay; r != nil {
-		if r.HitRate < 0 || r.HitRate > 1 {
-			return fmt.Errorf("stats: replay hit rate %g out of [0,1]", r.HitRate)
-		}
-		if r.ReplayedInsts > 0 && r.BlocksCaptured == 0 {
-			return fmt.Errorf("stats: %d replayed instructions with no captured blocks", r.ReplayedInsts)
 		}
 	}
 	if s.Cycles > 0 {

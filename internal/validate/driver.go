@@ -21,7 +21,7 @@ type Failure struct {
 	Subject string
 	// Check names the property that failed: "run", "interp", "oracle",
 	// "digest", "heap", "orig-insts", "commit-count", "skip-cycles",
-	// "replay-cycles", "cycle-sanity", "truncated".
+	// "cycle-sanity", "truncated".
 	Check string
 	// Detail is the human-readable explanation.
 	Detail string
@@ -137,7 +137,7 @@ func diffDigest(subject string, got, want Digest, withRegs bool) []Failure {
 // timedRun executes one timing-core simulation with a digest collector
 // attached, under the driver's fault isolation (panic recovery +
 // deadline + cycle backstop).
-func timedRun(spec harness.Spec, disableSkip, disableReplay bool, cfg Config) (harness.Result, *Collector, error) {
+func timedRun(spec harness.Spec, disableSkip bool, cfg Config) (harness.Result, *Collector, error) {
 	col := NewCollector()
 	cc := cpu.Defaults()
 	if spec.CPU != nil {
@@ -146,7 +146,6 @@ func timedRun(spec harness.Spec, disableSkip, disableReplay bool, cfg Config) (h
 	cc.Tracer = col
 	cc.MaxCycles = cfg.MaxCycles
 	cc.DisableCycleSkip = disableSkip
-	cc.DisableBlockReplay = disableReplay
 	cc.InjectFault = cfg.Fault
 	cc.FaultAfter = cfg.FaultAfter
 	spec.CPU = &cc
@@ -157,25 +156,21 @@ func timedRun(spec harness.Spec, disableSkip, disableReplay bool, cfg Config) (h
 	return res, col, err
 }
 
-// runVariant is one (cycle-skip, block-replay) mode combination of the
-// differential matrix.  The default mode runs first; the replay-off leg
-// exercises the per-instruction emission and fetch paths so a replay
-// bug cannot hide by breaking both sides identically.
+// runVariant is one cycle-skip mode of the differential matrix.  The
+// default mode runs first.
 type runVariant struct {
-	name                       string
-	disableSkip, disableReplay bool
+	name        string
+	disableSkip bool
 }
 
 var runVariants = [...]runVariant{
-	{name: "skip", disableSkip: false, disableReplay: false},
-	{name: "noskip", disableSkip: true, disableReplay: false},
-	{name: "noreplay", disableSkip: false, disableReplay: true},
+	{name: "skip", disableSkip: false},
+	{name: "noskip", disableSkip: true},
 }
 
-// checkRuns drives one workload/scheme through the core under every
-// (cycle-skip, block-replay) variant, comparing each commit-side digest
-// against the oracle and asserting all variants are cycle-exact
-// equivalents.  It returns the default variant's cycle count (0 when it
+// checkRuns drives one workload/scheme through the core with cycle
+// skipping on and off, comparing each commit-side digest against the
+// oracle and asserting both modes are cycle-exact equivalents.  It returns the default variant's cycle count (0 when it
 // could not be obtained) for the caller's cycle-sanity bound.
 func checkRuns(subject string, spec harness.Spec, oracle Digest, emitted uint64, withRegs bool, cfg Config) ([]Failure, uint64) {
 	var fails []Failure
@@ -183,7 +178,7 @@ func checkRuns(subject string, spec harness.Spec, oracle Digest, emitted uint64,
 	ok := [len(runVariants)]bool{}
 	for i, v := range runVariants {
 		name := subject + "/" + v.name
-		res, col, err := timedRun(spec, v.disableSkip, v.disableReplay, cfg)
+		res, col, err := timedRun(spec, v.disableSkip, cfg)
 		if err != nil {
 			fails = append(fails, Failure{Subject: name, Check: "run", Detail: err.Error()})
 			continue
@@ -213,10 +208,6 @@ func checkRuns(subject string, spec harness.Spec, oracle Digest, emitted uint64,
 	if ok[0] && ok[1] && cycles[0] != cycles[1] {
 		fails = append(fails, Failure{Subject: subject, Check: "skip-cycles",
 			Detail: fmt.Sprintf("cycle skipping changed execution time: skip=%d noskip=%d", cycles[0], cycles[1])})
-	}
-	if ok[0] && ok[2] && cycles[0] != cycles[2] {
-		fails = append(fails, Failure{Subject: subject, Check: "replay-cycles",
-			Detail: fmt.Sprintf("block replay changed execution time: replay=%d noreplay=%d", cycles[0], cycles[2])})
 	}
 	if ok[0] {
 		return fails, cycles[0]

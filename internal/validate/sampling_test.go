@@ -1,6 +1,8 @@
 package validate
 
 import (
+	"encoding/json"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -157,4 +159,43 @@ func TestSampledErrorBars(t *testing.T) {
 	t.Logf("full %d, sampled %d [%d, %d], CPI %.3f±%.3f, %d intervals, %d FF insts",
 		full.CPU.Cycles, sam.CPU.Cycles, s.CyclesLo, s.CyclesHi,
 		s.CPIMean, s.CPIStdErr, s.Intervals, s.FFInsts)
+}
+
+// TestSampledPinned pins the cycle count and the snapshot of a few
+// sampled runs under samplingTestConfig.  The constants were computed
+// while sampled runs still fetched one instruction at a time through a
+// separate fetch stage, so they hold the block-granular front end
+// (detailed intervals and the fast-forward's span cursor) to the same
+// sampled results.
+func TestSampledPinned(t *testing.T) {
+	tests := []struct {
+		bench  string
+		scheme core.Scheme
+		cycles uint64
+		digest uint64
+	}{
+		{"health", core.SchemeCooperative, 198197, 0x002296704c9f1a59},
+		{"mst", core.SchemeNone, 99230, 0xec578f05149d05cc},
+		{"treeadd", core.SchemeSoftware, 211743, 0xdf05b4d8041411fb},
+	}
+	for _, tc := range tests {
+		res, err := harness.Run(harness.Spec{
+			Bench:    tc.bench,
+			Params:   olden.Params{Scheme: tc.scheme, Size: olden.SizeSmall},
+			Sampling: samplingTestConfig(),
+		})
+		if err != nil {
+			t.Fatalf("%s/%s: %v", tc.bench, tc.scheme, err)
+		}
+		b, err := json.Marshal(res.Stats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		h.Write(b)
+		if res.CPU.Cycles != tc.cycles || h.Sum64() != tc.digest {
+			t.Errorf("%s/%s: sampled cycles %d, snapshot hash %#016x; want %d, %#016x",
+				tc.bench, tc.scheme, res.CPU.Cycles, h.Sum64(), tc.cycles, tc.digest)
+		}
+	}
 }

@@ -243,11 +243,20 @@ func Validate(w io.Writer, o ValidationOptions) []ValidationFailure {
 }
 
 // Reproduce regenerates one paper artifact ("table1", "table2", "fig4",
-// "fig5", "fig6", "fig7" or "costs").
+// "fig5", "fig6", "fig7" or "costs").  It rejects an unknown benchmark
+// name in cfg.Benches and a negative cfg.Workers.
 func Reproduce(id string, cfg ExpConfig) (Report, error) {
 	fn, ok := harness.ExperimentByID(id)
 	if !ok {
 		return Report{}, fmt.Errorf("repro: unknown experiment %q (have %v)", id, ExperimentIDs())
+	}
+	for _, name := range cfg.Benches {
+		if _, ok := harness.BenchByName(name); !ok {
+			return Report{}, fmt.Errorf("repro: unknown benchmark %q (have %v)", name, harness.BenchNames())
+		}
+	}
+	if cfg.Workers < 0 {
+		return Report{}, fmt.Errorf("repro: worker count (-j) %d is negative; 0 means GOMAXPROCS", cfg.Workers)
 	}
 	return fn(cfg)
 }

@@ -116,6 +116,14 @@ func TestReproduceUnknown(t *testing.T) {
 	if _, err := Reproduce("fig99", ExpConfig{}); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
+	// Every experiment shares the config check, including those (like
+	// table2) that would otherwise ignore the benchmark list.
+	if _, err := Reproduce("table2", ExpConfig{Benches: []string{"nosuch"}}); err == nil {
+		t.Error("unknown benchmark accepted")
+	}
+	if _, err := Reproduce("table2", ExpConfig{Workers: -1}); err == nil {
+		t.Error("negative worker count accepted")
+	}
 }
 
 func TestIdiomOverride(t *testing.T) {
